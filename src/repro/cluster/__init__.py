@@ -6,11 +6,11 @@ the single-process service's submission contract — plus supervision
 degraded exact-addition fallback, and cluster-wide metrics aggregation.
 See :mod:`repro.cluster.router` for the data path,
 :mod:`repro.cluster.supervisor` for the control path, and
-:mod:`repro.cluster.transport` for the wire (pickle-over-pipe or
-zero-copy shared-memory rings).
+:mod:`repro.cluster.transport` for the wire (pickle over one duplex
+pipe per worker).
 """
 
-from .config import SHARD_POLICY_NAMES, TRANSPORT_NAMES, ClusterConfig
+from .config import SHARD_POLICY_NAMES, ClusterConfig
 from .router import (
     SHARD_POLICIES,
     ClusterRouter,
@@ -19,27 +19,14 @@ from .router import (
 )
 from .supervisor import WorkerHandle, WorkerSupervisor
 from .sync import SyncCluster, close_shared_cluster, shared_cluster
-from .transport import (
-    PipeTransport,
-    Ring,
-    ShmRingTransport,
-    Transport,
-    make_transport,
-)
 
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
     "ClusterUnhealthyError",
-    "PipeTransport",
-    "Ring",
     "SHARD_POLICIES",
     "SHARD_POLICY_NAMES",
-    "ShmRingTransport",
     "SyncCluster",
-    "Transport",
-    "TRANSPORT_NAMES",
-    "make_transport",
     "WorkerHandle",
     "WorkerSupervisor",
     "close_shared_cluster",

@@ -234,8 +234,8 @@ class ClusterRouter:
             "latency_cycles", "per-addition latency in cycles")
         self.h_wall = reg.histogram(
             "request_wall_seconds", "request wall time, admission to response")
-        # Transport-layer accounting, synced from the per-worker
-        # channels' I/O threads (deltas for counters, sums for gauges).
+        # Transport-layer accounting, synced as deltas from the
+        # per-worker channels' I/O threads.
         self.m_tx_bytes = reg.counter(
             "transport_tx_bytes_total",
             "payload bytes shipped router -> workers")
@@ -246,46 +246,23 @@ class ClusterRouter:
             "transport_tx_msgs_total", "messages shipped router -> workers")
         self.m_rx_msgs = reg.counter(
             "transport_rx_msgs_total", "messages shipped workers -> router")
-        self.m_pipe_fallback = reg.counter(
-            "transport_pipe_fallback_total",
-            "messages too large for a ring slot, sent via the control pipe")
-        self.m_ring_stalls = reg.counter(
-            "transport_ring_full_stalls_total",
-            "producer waits on a full ring (back-pressure events)")
-        self.g_ring_tx = reg.gauge(
-            "ring_tx_occupancy_slots",
-            "router->worker ring slots published but not retired")
-        self.g_ring_rx = reg.gauge(
-            "ring_rx_occupancy_slots",
-            "worker->router ring slots published but not retired")
         self._tstats_seen: Dict[int, Dict[str, int]] = {}
 
     def _sync_transport_metrics(self) -> None:
         """Fold channel I/O-thread accounting into the registry.
 
-        Counters accumulate deltas per worker id (channels die with
-        their workers); occupancy gauges are instantaneous sums over
-        the live pool.
+        Counters accumulate deltas per worker id, because channels die
+        with their workers.
         """
-        tx_occ = rx_occ = 0
         for handle in self.supervisor.live:
-            stats = handle.transport_stats()
-            if not stats:
-                continue
-            tx_occ += stats.get("ring_tx_occupancy", 0)
-            rx_occ += stats.get("ring_rx_occupancy", 0)
-            self._fold_channel_stats(handle.wid, stats)
-        self.g_ring_tx.set(tx_occ)
-        self.g_ring_rx.set(rx_occ)
+            self._fold_channel_stats(handle.wid, handle.transport_stats())
 
     def _fold_channel_stats(self, wid: int, stats: Dict[str, int]) -> None:
         seen = self._tstats_seen.setdefault(wid, {})
         for key, counter in (("tx_bytes", self.m_tx_bytes),
                              ("rx_bytes", self.m_rx_bytes),
                              ("tx_msgs", self.m_tx_msgs),
-                             ("rx_msgs", self.m_rx_msgs),
-                             ("pipe_fallbacks", self.m_pipe_fallback),
-                             ("ring_full_stalls", self.m_ring_stalls)):
+                             ("rx_msgs", self.m_rx_msgs)):
             value = stats.get(key, 0)
             delta = value - seen.get(key, 0)
             if delta > 0:
@@ -361,7 +338,6 @@ class ClusterRouter:
                 "recovery_cycles": self.recovery_cycles,
                 "backend": self.backend_name,
                 "workers": self.cfg.workers,
-                "transport": self.cfg.transport,
                 "shard_policy": self.cfg.shard_policy,
                 "worker_queue_ops": self.cfg.worker_queue_ops,
                 "max_batch_ops": self.max_batch_ops,

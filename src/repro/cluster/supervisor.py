@@ -5,12 +5,9 @@ the router can stay a pure asyncio front end:
 
 * **Spawn.**  Each slot gets a fresh process (``spawn`` start method by
   default — fork is unsafe once the I/O threads below exist) and a
-  transport channel (:mod:`repro.cluster.transport`: pickle-over-pipe
-  or zero-copy shared-memory rings) whose writer thread guarantees a
-  full wire can never block the event loop and whose reader thread
-  posts every message onto the loop.  Shared-memory segments are
-  created at spawn and destroyed deterministically on worker death,
-  restart and shutdown via the transport's segment tracker.
+  :class:`~repro.cluster.transport.RouterChannel` over one duplex pipe,
+  whose writer thread guarantees a full pipe can never block the event
+  loop and whose reader thread posts every message onto the loop.
 * **Liveness.**  Three independent detectors: the reader thread sees
   pipe EOF the instant a crashed worker's last buffered replies drain
   (so no delivered result is ever thrown away), the monitor tick checks
@@ -37,13 +34,13 @@ from ..service.metrics import MetricsRegistry
 from ..service.tracing import Tracer
 from . import protocol
 from .config import ClusterConfig
-from .transport import RouterChannel, Transport, make_transport
+from .transport import RouterChannel, WorkerChannel
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
 
 
 class WorkerHandle:
-    """One worker slot's process, transport channel and router state."""
+    """One worker slot's process, pipe channel and router state."""
 
     def __init__(self, wid: int, slot: int):
         self.wid = wid          # unique across restarts
@@ -80,15 +77,15 @@ class WorkerHandle:
         return self.channel.stats() if self.channel is not None else {}
 
     # -- lifecycle (called by the supervisor only) ----------------------
-    def start(self, ctx, cfg: ClusterConfig, loop, transport: Transport,
+    def start(self, ctx, cfg: ClusterConfig, loop,
               on_message: Callable, on_eof: Callable) -> None:
-        self.channel = transport.open_router_channel(ctx, cfg, self.wid)
+        self.channel = RouterChannel(ctx)
         self.proc = ctx.Process(
             target=_spawn_target, name=f"vlsa-worker-{self.slot}",
-            args=(self.wid, self.channel.spawn_spec(), cfg.worker_dict()),
+            args=(self.wid, self.channel.child_conn, cfg.worker_dict()),
             daemon=True)
         self.proc.start()
-        self.channel.after_spawn()  # drop child-side handles
+        self.channel.after_spawn()
         self.alive = True
         self.started_at = self.last_msg = time.monotonic()
 
@@ -104,12 +101,7 @@ class WorkerHandle:
             lambda: on_eof(self))
 
     def close(self, kill: bool = False, join_timeout: float = 0.5) -> None:
-        """Stop the process and the channel (``kill=True`` skips SIGTERM).
-
-        The process dies first so the channel teardown (which for shm
-        destroys the shared segments) can never unmap memory a live
-        worker is still writing.
-        """
+        """Stop the process, then the channel (``kill=True`` skips SIGTERM)."""
         self.alive = False
         if self.proc is not None and self.proc.is_alive():
             if kill:
@@ -124,13 +116,12 @@ class WorkerHandle:
             self.channel.close()
 
 
-def _spawn_target(wid: int, spawn_spec, cfg: Dict[str, Any]) -> None:
+def _spawn_target(wid: int, conn, cfg: Dict[str, Any]) -> None:
     # Imported lazily in the child so a ``spawn`` start pays the repro
     # import exactly once, inside the worker.
-    from .transport import open_worker_channel
     from .worker import worker_main
 
-    worker_main(wid, open_worker_channel(spawn_spec), cfg)
+    worker_main(wid, WorkerChannel(conn), cfg)
 
 
 class WorkerSupervisor:
@@ -153,7 +144,6 @@ class WorkerSupervisor:
         self.tracer = tracer
         self._on_message = on_message
         self._on_failover = on_failover
-        self.transport = make_transport(cfg.transport)
         self._slots: List[Optional[WorkerHandle]] = [None] * cfg.workers
         self._failures = [0] * cfg.workers
         self._next_wid = 0
@@ -213,14 +203,13 @@ class WorkerSupervisor:
         for handle in self._slots:
             if handle is not None:
                 handle.close()
-        self.transport.close()
         self.g_live.set(0)
 
     # ------------------------------------------------------------------
     def _spawn(self, slot: int) -> None:
         handle = WorkerHandle(self._next_wid, slot)
         self._next_wid += 1
-        handle.start(self._mp_ctx, self.cfg, self._loop, self.transport,
+        handle.start(self._mp_ctx, self.cfg, self._loop,
                      self._handle_message, self._handle_eof)
         self._slots[slot] = handle
         self.g_live.set(len(self.live))

@@ -16,6 +16,11 @@ only.  One JSON object per line in, one per line out:
 * ``{"cmd": "info"}`` → service configuration
 * malformed input / overload / timeout → ``{"id": ..., "error": "..."}``
   with a machine-readable ``code``.
+* a request line longer than 64 KiB (asyncio's default
+  ``StreamReader`` limit, the server's stated maximum) →
+  ``{"error": "...", "code": "too_large"}``, counted in
+  ``requests_too_large_total``; the server then closes the connection,
+  since the rest of that line cannot be framed.
 
 Requests on one connection are answered in order; the service's
 admission control applies per request, so an overloaded server degrades
@@ -131,7 +136,22 @@ class VlsaServer:
             "connections_total", "TCP connections accepted").inc()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # line over the StreamReader limit
+                    self.service.registry.counter(
+                        "requests_too_large_total",
+                        "request lines over the 64 KiB limit").inc()
+                    reply = {"error": "request line exceeds the 64 KiB "
+                                      "limit", "code": "too_large"}
+                    writer.write(json.dumps(reply).encode() + b"\n")
+                    # Half-close, then discard the line's tail until the
+                    # client closes: closing with unread input would
+                    # reset the connection and could drop the reply.
+                    writer.write_eof()
+                    while await reader.read(1 << 16):
+                        pass
+                    break
                 if not line:
                     break
                 reply = await self._handle_line(line)

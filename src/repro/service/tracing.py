@@ -3,7 +3,7 @@
 Every interesting service transition (request admitted/rejected, batch
 executed, detector fired, shutdown) becomes a :class:`TraceEvent` —
 a timestamped ``kind`` plus free-form fields.  The :class:`Tracer`
-keeps a bounded ring of recent events for inspection and *also* forwards
+keeps a bounded buffer of recent events for inspection and *also* forwards
 each event to the run's :class:`~repro.engine.RunContext` via
 :meth:`~repro.engine.RunContext.record_event`, so a ``--manifest`` run
 carries the head of its own trace: the manifest alone shows what the
@@ -45,11 +45,11 @@ class TraceEvent:
 
 
 class Tracer:
-    """Bounded event ring, optionally mirrored into a :class:`RunContext`.
+    """Bounded event buffer, optionally mirrored into a :class:`RunContext`.
 
     Args:
-        ctx: Run context to forward events to (``None`` = ring only).
-        capacity: Events retained in the ring (oldest dropped first).
+        ctx: Run context to forward events to (``None`` = buffer only).
+        capacity: Events retained in the buffer (oldest dropped first).
         clock: Timestamp source (default ``time.monotonic``).
     """
 

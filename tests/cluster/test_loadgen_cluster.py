@@ -51,18 +51,6 @@ def test_cluster_target_shard_policies():
         assert report.params["shard_policy"] == policy
 
 
-def test_cluster_target_shm_transport_accounting():
-    report = _cluster_report("uniform", 4000, transport="shm")
-    assert report.ops == 4000
-    assert report.params["transport"] == "shm"
-    assert report.params["worker_failures"] == 0
-    # Copy-bytes counters prove the rings actually carried the load.
-    assert report.params["transport_tx_bytes"] >= 16 * 4000
-    assert report.params["transport_rx_bytes"] >= 18 * 4000
-    assert report.params["transport_pipe_fallbacks"] == 0
-    assert report.params["transport_ring_full_stalls"] == 0
-
-
 def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         run_loadgen("uniform", ops=10, target="mainframe")

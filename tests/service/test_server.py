@@ -136,3 +136,31 @@ def test_multiple_connections_share_the_service():
     assert rb[0]["sum"] == 7
     assert metrics["ops_total"]["value"] == 2
     assert metrics["connections_total"]["value"] == 3
+
+
+def test_oversized_line_gets_too_large_reply_and_clean_close(caplog):
+    """Regression: a request line over asyncio's 64 KiB StreamReader
+    limit used to kill the connection handler with an unhandled
+    LimitOverrunError; the client saw a reset and no reply."""
+    pairs = [[(1 << 64) - 1 - i, (1 << 63) + i] for i in range(3000)]
+    line = json.dumps({"id": 1, "pairs": pairs}).encode() + b"\n"
+    assert len(line) > 1 << 16
+
+    async def main():
+        async with VlsaServer(VlsaService(width=64), port=0) as server:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(line)
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            rest = await reader.read()  # the server closed cleanly
+            writer.close()
+            await writer.wait_closed()
+            return reply, rest, server.service.metrics_json()
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        reply, rest, metrics = asyncio.run(main())
+    assert reply["code"] == "too_large"
+    assert "error" in reply
+    assert rest == b""
+    assert metrics["requests_too_large_total"]["value"] == 1
+    assert "Unhandled exception" not in caplog.text
