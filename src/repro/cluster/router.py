@@ -686,7 +686,7 @@ class ClusterRouter:
         self._cycle += n  # exact adder: always one (longer) cycle
         self.m_cycles.set(self._cycle)
         self.h_latency.record(1, count=n)
-        self.h_wall.record(0.0)
+        self.h_wall.record(time.monotonic() - pending.enqueued_at)
         self.tracer.emit("degraded_request", id=pending.id, ops=n)
         accept = self._cycle - n
         if pending.scalar:

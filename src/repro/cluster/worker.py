@@ -89,8 +89,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
     m_cycles = registry.gauge(
         "worker_cycles", "virtual cycles on this worker's accelerator")
     h_batch = registry.histogram(
-        "worker_batch_size_ops", "additions per wire batch",
-        reservoir_size=2048)
+        "worker_batch_size_ops", "additions per wire batch")
     registry.gauge("worker_pid", "OS pid of the worker process").set(
         os.getpid())
 

@@ -13,32 +13,38 @@ no external client library — and exports in two formats:
   format, so a scraper pointed at the TCP front-end's ``metrics``
   command sees standard ``# TYPE``/``# HELP`` output.
 
-Histograms keep exact count/sum/min/max plus a bounded reservoir
-(Vitter's algorithm R with a *seeded* RNG, so quantiles are reproducible
-run-to-run) from which p50/p95/p99 are computed.  Recording one sample
-is O(1); bulk recording (``record(value, count=N)``) is bounded by the
-reservoir size, not N — memory and per-call work stay bounded
-regardless of how many samples a load test pushes.
+Histograms keep exact count/sum/min/max plus an exact count per value
+bucket, from which p50/p95/p99 are read by nearest rank.  A bucket is a
+value cut down to its top 12 significant bits, so integers below 4096
+(cycle latencies, most batch sizes) are counted exactly and any other
+value within 2^-11 relative.  There is no sampling and no RNG: the same
+sample stream always reports the same quantiles, and recording is one
+dict update whatever the ``count`` of ``record(value, count=N)``.
 
 Every instrument additionally supports **merging**, the primitive the
 multi-process cluster is built on: a worker ships
 :meth:`MetricsRegistry.state` (a picklable dict, including histogram
-reservoirs) over its pipe, and the router folds any number of such
+bucket counts) over its pipe, and the router folds any number of such
 snapshots into one cluster-wide registry with
 :meth:`MetricsRegistry.merge_snapshot`.  Counters add; gauges add their
-current values and keep the max of the per-source peaks; histograms
-combine exactly for count/sum/min/max and merge their reservoirs by
-weighted subsampling (each element stands for ``count / len(reservoir)``
-of its source population), so merged quantiles stay unbiased.
+current values and keep the max of the per-source peaks; histograms add
+their bucket counts, so a merged histogram is exactly the one a single
+process would have recorded from all the samples, in any merge order.
 """
 
 from __future__ import annotations
 
-import random
+import math
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+
+#: Significant bits kept in a histogram bucket key: integers below
+#: ``2**BUCKET_BITS`` are exact, any other value is within
+#: ``2**(1 - BUCKET_BITS)`` relative of its bucket's lower bound.
+BUCKET_BITS = 12
+_BUCKET_SCALE = float(1 << BUCKET_BITS)
 
 
 def _fmt(value: float) -> str:
@@ -141,12 +147,15 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming histogram with bounded memory and seeded quantiles.
+    """Exact streaming histogram: one count per value bucket.
 
-    Keeps exact ``count``/``sum``/``min``/``max`` and a reservoir of at
-    most *reservoir_size* samples maintained by Vitter's algorithm R.
-    The reservoir RNG is seeded per histogram, so two runs that record
-    the same sample stream report identical quantiles.
+    Keeps exact ``count``/``sum``/``min``/``max`` and a dict from bucket
+    key to count.  The key is the value cut down to its top
+    :data:`BUCKET_BITS` significant bits (the bucket's lower bound), so
+    integers below ``2**BUCKET_BITS`` — cycle latencies, most batch
+    sizes — are stored exactly and any other value within ``2**-11``
+    relative.  Memory grows with the number of distinct buckets, not
+    with the number of samples.
 
     :meth:`record` accepts a ``count`` so integer-valued distributions
     (e.g. latency in cycles, which is almost always exactly 1) can be
@@ -158,76 +167,47 @@ class Histogram:
     #: Default quantiles reported by :meth:`to_json`/:meth:`sample_lines`.
     QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-    def __init__(self, name: str, help: str = "",
-                 reservoir_size: int = 8192, seed: int = 0):
-        if reservoir_size <= 0:
-            raise ValueError("reservoir_size must be positive")
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self.count = 0
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._reservoir: List[float] = []
-        self._capacity = reservoir_size
-        self._rng = random.Random(seed)
+        self._counts: Dict[float, int] = {}
 
     def record(self, value: float, count: int = 1) -> None:
-        """Record *value* occurring *count* times.
-
-        The bulk path is O(reservoir size), not O(count): all *count*
-        samples are equal, so only which slots end up overwritten
-        matters.  Under algorithm R a block of ``count`` equal samples
-        arriving after ``n`` others leaves each slot untouched with
-        probability ``n / (n + count)``; we draw that per slot.
-        """
+        """Record *value* occurring *count* times (O(1) in *count*)."""
         if count <= 0:
             raise ValueError("count must be positive")
         value = float(value)
+        self.count += count
         self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if count == 1:
-            self.count += 1
-            if len(self._reservoir) < self._capacity:
-                self._reservoir.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self._capacity:
-                    self._reservoir[slot] = value
-            return
-        fill = min(count, self._capacity - len(self._reservoir))
-        if fill:
-            self._reservoir.extend([value] * fill)
-        self.count += count
-        remaining = count - fill
-        if remaining <= 0 or not self._reservoir:
-            return
-        p_replace = remaining / self.count
-        for slot in range(len(self._reservoir)):
-            if self._rng.random() < p_replace:
-                self._reservoir[slot] = value
-
-    def record_many(self, values: Sequence[float]) -> None:
-        """Record every element of *values*."""
-        for v in values:
-            self.record(v)
+        mantissa, exponent = math.frexp(value)
+        key = math.ldexp(math.floor(mantissa * _BUCKET_SCALE),
+                         exponent - BUCKET_BITS)
+        self._counts[key] = self._counts.get(key, 0) + count
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimated *q*-quantile (nearest-rank over the reservoir)."""
+        """Nearest-rank *q*-quantile, as the lower bound of its bucket."""
         if not (0.0 <= q <= 1.0):
             raise ValueError("quantile must be in [0, 1]")
-        if not self._reservoir:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._reservoir)
-        rank = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[rank]
+        rank = min(self.count - 1, int(q * self.count))
+        for key in sorted(self._counts):
+            rank -= self._counts[key]
+            if rank < 0:
+                break
+        return key
 
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -251,51 +231,26 @@ class Histogram:
         return lines
 
     def state(self) -> Dict[str, Any]:
-        """Picklable state, reservoir included, for cross-process merge."""
+        """Picklable state, bucket counts included, for cross-process merge."""
         return {"count": self.count, "sum": self.sum, "min": self.min,
-                "max": self.max, "reservoir": list(self._reservoir)}
+                "max": self.max, "counts": dict(self._counts)}
 
     def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s samples into this histogram.
-
-        count/sum/min/max combine exactly.  The merged reservoir is a
-        weighted subsample of the union: each retained element of a
-        source reservoir represents ``count / len(reservoir)`` samples
-        of that source's population, so elements are kept with
-        probability proportional to that weight (Efraimidis–Spirakis
-        keys drawn from this histogram's seeded RNG — merging the same
-        snapshots in the same order is deterministic).
-        """
+        """Fold *other*'s samples into this histogram (exact)."""
         self.merge_state(other.state())
 
     def merge_state(self, state: Dict[str, Any]) -> None:
-        o_count = state["count"]
-        if o_count == 0:
+        if state["count"] == 0:
             return
-        o_res = list(state["reservoir"])
-        items: List[Tuple[float, float]] = []  # (weight, value)
-        if self.count and self._reservoir:
-            w_self = self.count / len(self._reservoir)
-            items.extend((w_self, v) for v in self._reservoir)
-        if o_res:
-            w_other = o_count / len(o_res)
-            items.extend((w_other, v) for v in o_res)
-        self.count += o_count
+        self.count += state["count"]
         self.sum += state["sum"]
         for bound, pick in (("min", min), ("max", max)):
             theirs = state[bound]
             ours = getattr(self, bound)
-            if theirs is not None:
-                setattr(self, bound,
-                        theirs if ours is None else pick(ours, theirs))
-        if len(items) > self._capacity:
-            # Weighted reservoir subsample: key = u^(1/w), keep top-k.
-            keyed = sorted(
-                ((self._rng.random() ** (1.0 / w), v) for w, v in items),
-                reverse=True)[:self._capacity]
-            self._reservoir = [v for _, v in keyed]
-        else:
-            self._reservoir = [v for _, v in items]
+            setattr(self, bound, theirs if ours is None else pick(ours, theirs))
+        counts = self._counts
+        for key, n in state["counts"].items():
+            counts[key] = counts.get(key, 0) + n
 
 
 class MetricsRegistry:
@@ -334,11 +289,9 @@ class MetricsRegistry:
         """Get or create the gauge *name*."""
         return self._get_or_make(Gauge, name, help=help)
 
-    def histogram(self, name: str, help: str = "",
-                  reservoir_size: int = 8192, seed: int = 0) -> Histogram:
+    def histogram(self, name: str, help: str = "") -> Histogram:
         """Get or create the histogram *name*."""
-        return self._get_or_make(Histogram, name, help=help,
-                                 reservoir_size=reservoir_size, seed=seed)
+        return self._get_or_make(Histogram, name, help=help)
 
     def get(self, name: str):
         """The registered metric, or ``None``."""
@@ -353,8 +306,8 @@ class MetricsRegistry:
     def state(self) -> Dict[str, Any]:
         """Full picklable snapshot of every instrument (for the wire).
 
-        Unlike :meth:`to_json` this includes histogram reservoirs, so a
-        registry on the other side of a pipe can merge it losslessly
+        Unlike :meth:`to_json` this includes histogram bucket counts, so
+        a registry on the other side of a pipe can merge it losslessly
         with :meth:`merge_snapshot`.
         """
         with self._lock:
@@ -368,8 +321,8 @@ class MetricsRegistry:
         Instruments missing here are created (same kind and help);
         existing ones must match kinds or a :class:`TypeError` is
         raised.  Merging N disjoint worker snapshots yields cluster
-        totals: counters add, gauges add values, histograms combine
-        exactly in count/sum/min/max and statistically in quantiles.
+        totals: counters add, gauges add values, histograms add bucket
+        counts (exact in every field, float rounding of ``sum`` aside).
         """
         for name in sorted(snapshot):
             entry = snapshot[name]

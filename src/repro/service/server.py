@@ -14,8 +14,10 @@ only.  One JSON object per line in, one per line out:
 * ``{"cmd": "metrics"}`` → ``{"metrics": {...}}`` (registry snapshot)
 * ``{"cmd": "prometheus"}`` → ``{"prometheus": "..."}`` (text format)
 * ``{"cmd": "info"}`` → service configuration
-* malformed input / overload / timeout → ``{"id": ..., "error": "..."}``
-  with a machine-readable ``code``.
+* malformed input / overload / timeout / closed / unavailable →
+  ``{"id": ..., "error": "..."}`` with a machine-readable ``code``
+  (``unavailable`` is any other service error, e.g. a cluster front
+  end with no live worker).
 * a request line longer than 64 KiB (asyncio's default
   ``StreamReader`` limit, the server's stated maximum) →
   ``{"error": "...", "code": "too_large"}``, counted in
@@ -42,6 +44,7 @@ from typing import Optional, Tuple
 from .service import (
     RequestTimeoutError,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloadedError,
     VlsaService,
 )
@@ -197,7 +200,7 @@ class VlsaServer:
                     "code": "bad_request"}
         try:
             a, b = int(msg["a"]), int(msg["b"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # 1e400 -> inf
             return {"id": req_id, "error": "operands must be integers",
                     "code": "bad_request"}
         try:
@@ -209,6 +212,8 @@ class VlsaServer:
             return {"id": req_id, "error": str(exc), "code": "timeout"}
         except ServiceClosedError as exc:
             return {"id": req_id, "error": str(exc), "code": "closed"}
+        except ServiceError as exc:  # e.g. no live cluster worker
+            return {"id": req_id, "error": str(exc), "code": "unavailable"}
         return {"id": req_id, "sum": resp.sum_out, "cout": resp.cout,
                 "stalled": resp.stalled,
                 "latency_cycles": resp.latency_cycles,
@@ -217,7 +222,7 @@ class VlsaServer:
     async def _handle_batch(self, req_id, pairs) -> dict:
         try:
             coerced = [(int(a), int(b)) for a, b in pairs]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return {"id": req_id, "code": "bad_request",
                     "error": "pairs must be [[a, b], ...] of integers"}
         try:
@@ -229,6 +234,8 @@ class VlsaServer:
             return {"id": req_id, "error": str(exc), "code": "timeout"}
         except ServiceClosedError as exc:
             return {"id": req_id, "error": str(exc), "code": "closed"}
+        except ServiceError as exc:  # e.g. no live cluster worker
+            return {"id": req_id, "error": str(exc), "code": "unavailable"}
         return {"id": req_id, "sums": list(resp.sums),
                 "couts": list(resp.couts),
                 "stalled": [bool(f) for f in resp.stalled],

@@ -138,6 +138,11 @@ def test_metrics_aggregation_and_conservation():
             assert merged["worker_stalls_total"]["value"] == (
                 merged["stalls_total"]["value"])
             assert merged["workers_live"]["value"] == 2
+            # Router-only histograms pass through the merge exactly.
+            own = router.registry.to_json()
+            for name in ("request_wall_seconds", "latency_cycles",
+                         "batch_size_ops"):
+                assert merged[name] == own[name]
             prom = router.metrics_prometheus()
             assert "vlsa_ops_total" in prom
             assert "vlsa_worker_ops_total" in prom
@@ -174,6 +179,8 @@ def test_degraded_mode_serves_exact_sums():
             assert resp.sum_out == 1 and resp.cout == 1
             assert router.m_degraded.value == 2
             assert router.m_degraded_ops.value == len(pairs) + 1
+            # Degraded requests report their real wall time, not zero.
+            assert router.h_wall.count == 2 and router.h_wall.min > 0
             assert router.supervisor.m_failures.value == 1
 
     run(main())

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster import ClusterConfig, ClusterRouter, protocol
 from repro.engine import RunContext
 from repro.service import VlsaServer, VlsaService, run_loadgen
 from repro.service.executor import VlsaBatchExecutor
@@ -83,6 +83,33 @@ def test_batch_verb_over_cluster_front():
             writer.close()
 
     asyncio.run(main())
+
+
+def test_unhealthy_cluster_front_replies_unavailable(caplog):
+    """With no live worker and degraded mode off, the router raises
+    ClusterUnhealthyError; the server answers it instead of dropping
+    the connection."""
+    async def main():
+        router = ClusterRouter(ClusterConfig(
+            width=WIDTH, window=WINDOW, workers=1, degraded_mode="error",
+            heartbeat_interval=0.05, restart_backoff_base=60.0,
+            restart_backoff_max=60.0))
+        async with VlsaServer(router, port=0) as server:
+            router.supervisor.live[0].send((protocol.CRASH, 1))
+            while router.supervisor.live:
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(*server.address)
+            replies = [await _rpc(reader, writer, {"id": 1, "a": 1, "b": 2}),
+                       await _rpc(reader, writer, {"id": 2, "pairs": [[1, 2]]})]
+            writer.close()
+            return replies
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        replies = asyncio.run(main())
+    assert [(r["id"], r["code"]) for r in replies] == [
+        (1, "unavailable"), (2, "unavailable")]
+    assert all("error" in r for r in replies)
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_loadgen_tcp_target_self_hosted():

@@ -56,7 +56,7 @@ def test_info_metrics_and_prometheus_commands():
     assert "vlsa_ops_total 1" in prom["prometheus"]
 
 
-def test_bad_requests_get_error_codes():
+def test_bad_requests_get_error_codes(caplog):
     async def main():
         async with VlsaServer(VlsaService(width=64), port=0) as server:
             return await _roundtrip(server, [
@@ -64,10 +64,14 @@ def test_bad_requests_get_error_codes():
                 {"cmd": "frobnicate"},
                 {"a": 1},
                 {"a": "x", "b": 2},
+                b'{"a": 1e400, "b": 1}',  # parses as inf
+                b'{"pairs": [[1e400, 2]]}',
             ])
-    replies = asyncio.run(main())
-    assert [r["code"] for r in replies] == ["bad_request"] * 4
+    with caplog.at_level("ERROR", logger="asyncio"):
+        replies = asyncio.run(main())
+    assert [r["code"] for r in replies] == ["bad_request"] * 6
     assert all("error" in r for r in replies)
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_out_of_range_operands_answered_and_service_survives():
