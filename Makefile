@@ -28,6 +28,9 @@ examples:
 experiments:
 	$(PY) -m repro all
 
+# Generated results are whatever .gitignore ignores under results/; the
+# committed BENCH_*.json, pareto_families.* and baselines/ stay.
 clean:
-	rm -rf results rtl_out .pytest_cache .benchmarks
+	git clean -fdX -- results
+	rm -rf rtl_out .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -4,9 +4,9 @@ The measurement itself moved to :mod:`repro.bench.suites.engine`
 (declarative registry + calibrated runner + shared result schema).
 This pytest entry point survives so ``pytest benchmarks/`` keeps
 regenerating ``results/BENCH_engine.json`` and enforcing the
-repository's acceptance bar: compiled backends bit-identical to the
-interpreter (checked at suite setup) and, at full volume, the numpy
-backend >= 5x the interpreter at width 64.
+repository's acceptance bar: the compiled engine bit-identical to the
+interpreter (checked at suite setup) and, at full volume, the engine
+>= 5x the interpreter at width 64.
 
 ``REPRO_BENCH_ENGINE_VECTORS`` / ``REPRO_BENCH_ENGINE_WIDTHS``
 override the sweep, as before.
@@ -43,8 +43,8 @@ def test_engine_throughput_vs_legacy(show):
     # The 5x acceptance bar needs full vector volume; enforce it only
     # when the caller asked for it (nightly / explicit override).
     base = int(os.environ.get("REPRO_BENCH_ENGINE_VECTORS", 0))
-    if base >= FULL_VECTORS and "numpy_w64" in by_name:
-        speedup = (by_name["numpy_w64"].ops_per_second
+    if base >= FULL_VECTORS and "bigint_w64" in by_name:
+        speedup = (by_name["bigint_w64"].ops_per_second
                    / by_name["legacy_w64"].ops_per_second)
         assert speedup >= FULL_SPEEDUP_BAR, (
-            f"numpy backend only {speedup:.1f}x the interpreter")
+            f"engine only {speedup:.1f}x the interpreter")

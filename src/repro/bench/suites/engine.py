@@ -1,13 +1,13 @@
-"""Engine suite: compiled backends versus the legacy interpreter.
+"""Engine suite: the compiled engine versus the legacy interpreter.
 
-One benchmark per (width, backend) pair over the same pre-built ACA
-circuit and random stimulus; the legacy per-gate interpreter rides
-along at a reduced vector share so the suite stays interactive.
-Output equivalence between backends is asserted at setup time — a
-benchmark that computes the wrong sums must never post a throughput
-number.
+Two benchmarks per width, ``legacy_w*`` and ``bigint_w*``, over the same
+pre-built ACA circuit and random stimulus; the legacy per-gate
+interpreter runs at a reduced vector share so the suite stays
+interactive.  The engine's agreement with the interpreter is asserted
+at setup time — a benchmark that computes the wrong sums must never
+post a throughput number.
 
-Presets: ``small`` keeps CI under a few seconds per backend; ``full``
+Presets: ``small`` keeps CI under a few seconds per benchmark; ``full``
 is the nightly sweep.  ``REPRO_BENCH_ENGINE_VECTORS`` and
 ``REPRO_BENCH_ENGINE_WIDTHS`` still override, as they did for the
 pre-registry script.
@@ -23,7 +23,7 @@ import numpy as np
 from ...analysis import choose_window
 from ...circuit import random_stimulus, simulate_interpreted
 from ...core import build_aca
-from ...engine import RunContext, available_backends, execute
+from ...engine import RunContext, execute
 from ...testing import env_widths
 from ..spec import Benchmark, registry
 
@@ -33,7 +33,7 @@ _PRESET_VECTORS = {"small": 1 << 13, "full": 1 << 18}
 _PRESET_WIDTHS = {"small": (16, 64), "full": (16, 64, 256)}
 
 #: The gate-level interpreter is orders of magnitude slower than the
-#: compiled backends; it gets this fraction of the vector volume.
+#: compiled engine; it gets this fraction of the vector volume.
 _LEGACY_SHARE = 16
 
 
@@ -42,7 +42,7 @@ def _vectors_for(width: int, base: int) -> int:
 
 
 def _make_state(width: int, vectors: int):
-    """Build circuit + stimulus once, shared by every backend bench."""
+    """Build circuit + stimulus once per benchmark."""
     circuit = build_aca(width, choose_window(width))
     stim = random_stimulus(circuit, num_vectors=vectors,
                            rng=np.random.default_rng(width))
@@ -74,37 +74,32 @@ def engine_suite(preset: str) -> List[Benchmark]:
             params={"width": width, "vectors": n_legacy,
                     "backend": "legacy"}))
 
-        for backend in available_backends():
-            def setup_backend(width=width, n=n, backend=backend):
-                circuit, stim, n_vec = _make_state(width, n)
-                ctx = RunContext(seed=0, backend=backend)
-                # Correctness gate before any timing: the compiled
-                # backend must agree with the interpreter on a small
-                # probe stimulus (stimuli are bit-packed, so the probe
-                # gets its own packing).
-                probe = min(n_vec, 256)
-                probe_stim = random_stimulus(
-                    circuit, num_vectors=probe,
-                    rng=np.random.default_rng(width + 1))
-                ref = simulate_interpreted(circuit, probe_stim,
-                                           num_vectors=probe)
-                got = execute(circuit, probe_stim, num_vectors=probe,
-                              backend=backend, ctx=ctx)
-                if got != ref:
-                    raise AssertionError(
-                        f"backend {backend!r} diverged from the "
-                        f"interpreter at width {width}")
-                return circuit, stim, n_vec, backend, ctx
+        def setup_engine(width=width, n=n):
+            circuit, stim, n_vec = _make_state(width, n)
+            ctx = RunContext(seed=0)
+            # Correctness gate before any timing: the engine must agree
+            # with the interpreter on a small probe stimulus (stimuli
+            # are bit-packed, so the probe gets its own packing).
+            probe = min(n_vec, 256)
+            probe_stim = random_stimulus(
+                circuit, num_vectors=probe,
+                rng=np.random.default_rng(width + 1))
+            ref = simulate_interpreted(circuit, probe_stim,
+                                       num_vectors=probe)
+            got = execute(circuit, probe_stim, num_vectors=probe, ctx=ctx)
+            if got != ref:
+                raise AssertionError(
+                    f"the engine diverged from the interpreter at width "
+                    f"{width}")
+            return circuit, stim, n_vec, ctx
 
-            def run_backend(state):
-                circuit, stim, n_vec, backend, ctx = state
-                return execute(circuit, stim, num_vectors=n_vec,
-                               backend=backend, ctx=ctx)
+        def run_engine(state):
+            circuit, stim, n_vec, ctx = state
+            return execute(circuit, stim, num_vectors=n_vec, ctx=ctx)
 
-            benches.append(Benchmark(
-                name=f"{backend}_w{width}", suite="engine",
-                setup=setup_backend, payload=run_backend,
-                ops_per_call=n, tags=("gate-level", "compiled"),
-                params={"width": width, "vectors": n,
-                        "backend": backend}))
+        benches.append(Benchmark(
+            name=f"bigint_w{width}", suite="engine",
+            setup=setup_engine, payload=run_engine,
+            ops_per_call=n, tags=("gate-level", "compiled"),
+            params={"width": width, "vectors": n, "backend": "bigint"}))
     return benches

@@ -66,8 +66,7 @@ def simulate_with_fault(circuit: Circuit, fault: StuckAtFault,
 
     plan = compiled_plan(circuit, fuse=False)
     if plan.nid_to_slot[fault.nid] < 0:  # dead net: unobservable fault
-        return execute(circuit, stimulus, num_vectors=num_vectors,
-                       backend="bigint")
+        return execute(circuit, stimulus, num_vectors=num_vectors)
     return execute(circuit, stimulus, num_vectors=num_vectors,
                    force={fault.nid: fault.value})
 

@@ -6,7 +6,7 @@ Usage::
     python -m repro table1
     python -m repro fig8 --widths 64,128,256
     python -m repro fig7 --ops 200000 --seed 1
-    python -m repro crosscheck --backend numpy
+    python -m repro crosscheck
     python -m repro verify --width 64 --window 8 --vectors 100000
     python -m repro bench run --suite service --preset small
     python -m repro bench gate
@@ -17,10 +17,9 @@ Usage::
 Results are printed and also written under ``results/`` (or
 ``$REPRO_RESULTS_DIR``).  Every experiment command runs inside an
 instrumented :class:`repro.engine.RunContext`: ``--seed`` roots all
-randomness and ``--backend`` selects the engine backend for gate-level
-simulation.  Unless ``--no-save`` is given, every command also writes
-``results/<command>_manifest.json`` recording the seed, backend,
-gate-eval counters, per-phase wall times and trace events of the run.
+randomness.  Unless ``--no-save`` is given, every command also writes
+``results/<command>_manifest.json`` recording the seed, gate-eval
+counters, per-phase wall times and trace events of the run.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from . import experiments as ex
-from .engine import RunContext, available_backends, set_default_context
+from .engine import RunContext, set_default_context
 from .engine.context import DEFAULT_SEED
 from .reporting import save_artifact, save_json
 
@@ -208,7 +207,7 @@ _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
             "workload dependence",
             ("width",)),
     "crosscheck": (_cmd_crosscheck,
-                   "Every engine backend versus the functional model",
+                   "The gate-level engine versus the functional model",
                    ("widths", "samples")),
     "loadgen": (_cmd_loadgen,
                 "Drive a workload through the in-process VLSA service "
@@ -324,9 +323,6 @@ def _add_loadgen(p):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=available_backends(),
-                   default="bigint",
-                   help="engine backend for gate-level simulation")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="root RNG seed (default: %(default)s)")
     p.add_argument("--manifest", action="store_true",
@@ -339,7 +335,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _run_command(name: str, args) -> str:
     """Run one experiment command inside a fresh instrumented context."""
-    ctx = RunContext(seed=args.seed, backend=args.backend, label=name)
+    ctx = RunContext(seed=args.seed, label=name)
     set_default_context(ctx)
     handler = _COMMANDS[name][0]
     with ctx.phase(name):
@@ -447,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differential + formal verification: fuzzing, exhaustive "
              "sweeps, and BDD proofs vs the analytic model",
         description="Drive every registered ACA/VLSA implementation "
-                    "(engine backends, interpreter, functional model, "
+                    "(gate-level engine, interpreter, functional model, "
                     "VLSA machine, service executors) from one seeded "
                     "vector stream; report elementwise mismatches with "
                     "minimised reproducers, and check empirical error/"
@@ -895,7 +891,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         chunks = []
         for name in _COMMANDS:
             defaults = parser.parse_args(
-                [name, "--backend", args.backend, "--seed", str(args.seed)]
+                [name, "--seed", str(args.seed)]
                 + (["--manifest"] if args.manifest else [])
                 + (["--no-save"] if args.no_save else []))
             text = _run_command(name, defaults)

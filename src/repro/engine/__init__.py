@@ -1,19 +1,11 @@
-"""Compiled circuit execution engine with pluggable backends.
+"""Compiled circuit execution engine.
 
-The engine is the repository's answer to "run as fast as the hardware
-allows": it **compiles** a levelized :class:`~repro.circuit.Circuit`
-once into a flat op tape plus per-level batch kernels
-(:mod:`repro.engine.plan`), then executes the plan through
-interchangeable backends (:mod:`repro.engine.backends`):
-
-======== ==============================================================
-backend  use it for
-======== ==============================================================
-bigint   default; any vector count, fault forcing, tiny overhead
-numpy    large Monte Carlo sweeps (cache-blocked uint64 batch kernels)
-sharded  very large sweeps across worker processes, order-independent
-         merge with deterministic per-shard seeding
-======== ==============================================================
+The engine is the repository's gate-level simulator: it **compiles** a
+levelized :class:`~repro.circuit.Circuit` once into a flat op tape
+(:mod:`repro.engine.plan`), then runs that tape over Python big-int
+bit-slices, bit ``j`` of every word carrying vector ``j``
+(:mod:`repro.engine.backends`).  That is the only executor; fault
+forcing runs the same tape on an unfused plan.
 
 Every run is instrumented through :class:`~repro.engine.RunContext`
 (gate-eval counters, per-phase wall times, RNG seed provenance) which
@@ -29,24 +21,13 @@ Quick tour::
     from repro import engine
 
     aca = build_aca(64, 18)
-    out = engine.execute_ints(aca, {"a": [3, 5], "b": [4, 9]},
-                              backend="numpy")
+    out = engine.execute_ints(aca, {"a": [3, 5], "b": [4, 9]})
     out["sum"]                       # [7, 14]
     model = engine.functional_model("aca", width=64, window=18)
     model.run_ints({"a": 3, "b": 4})  # same interface, no gates
 """
 
 from .api import compiled_plan, execute, execute_ints
-from .backends import (
-    Backend,
-    BigintBackend,
-    NumpyBackend,
-    ShardedBackend,
-    available_backends,
-    get_backend,
-    merge_shard_words,
-    register_backend,
-)
 from .context import (
     RunContext,
     get_default_context,
@@ -59,17 +40,14 @@ from .functional import (
     functional_model,
     register_functional,
 )
-from .plan import BatchGroup, CompiledPlan, compile_circuit
+from .plan import CompiledPlan, compile_circuit
 from . import pack
 
 __all__ = [
     "compiled_plan", "execute", "execute_ints",
-    "Backend", "BigintBackend", "NumpyBackend", "ShardedBackend",
-    "available_backends", "get_backend", "register_backend",
-    "merge_shard_words",
     "RunContext", "get_default_context", "set_default_context",
     "resolve_rng", "spawn_seeds",
     "available_functionals", "functional_model", "register_functional",
-    "BatchGroup", "CompiledPlan", "compile_circuit",
+    "CompiledPlan", "compile_circuit",
     "pack",
 ]

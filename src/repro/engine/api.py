@@ -2,7 +2,7 @@
 
 ``execute`` is the drop-in replacement for the interpreted simulator:
 it memoises the compiled plan per circuit (recompiling automatically if
-the circuit has grown since), picks a backend, and runs.  ``execute_ints``
+the circuit has grown since) and runs it.  ``execute_ints``
 adds the per-vector integer convenience layer (fast packing included)
 that the validate/ATPG/testbench paths share.
 """
@@ -10,13 +10,11 @@ that the validate/ATPG/testbench paths share.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..circuit.netlist import Circuit, CircuitError
-from .backends import Backend, Stimulus, Word, get_backend
-from .context import RunContext, get_default_context
+from .backends import Stimulus, run_plan
+from .context import RunContext
 from .pack import pack_vectors, unpack_vectors
 from .plan import CompiledPlan, compile_circuit
 
@@ -54,29 +52,22 @@ def _validate_stimulus(circuit: Circuit, stimulus: Stimulus) -> None:
 
 def execute(circuit: Circuit, stimulus: Stimulus,
             num_vectors: Optional[int] = None,
-            backend: Union[str, Backend, None] = None,
             ctx: Optional[RunContext] = None,
             force: Optional[Mapping[int, int]] = None
-            ) -> Dict[str, List[Word]]:
+            ) -> Dict[str, List[int]]:
     """Compile (cached) and evaluate *circuit* on packed stimulus.
 
     Args:
         circuit: Combinational circuit.
         stimulus: Input bus name -> per-bit packed words (Python ints).
-        num_vectors: Vectors per packed word (required for int words).
-        backend: Backend name/instance; default ``bigint`` (or the
-            context's configured backend).
+        num_vectors: Vectors per packed word (required).
         ctx: Instrumentation context (defaults to the process context).
-        force: Net id -> 0/1 overrides (fault injection).  Forces an
-            unfused plan and the ``bigint`` backend.
+        force: Net id -> 0/1 overrides (fault injection).  Runs an
+            unfused plan, so every net keeps its own slot.
 
     Returns:
         Output bus name -> per-bit packed words.
     """
-    ctx = ctx or get_default_context()
-    if backend is None:
-        backend = ctx.backend if force is None else "bigint"
-    be = get_backend(backend)
     _validate_stimulus(circuit, stimulus)
     if num_vectors is None:
         raise CircuitError("num_vectors is required for Python-int stimulus")
@@ -84,18 +75,16 @@ def execute(circuit: Circuit, stimulus: Stimulus,
         raise CircuitError("num_vectors must be positive")
 
     if force is not None:
-        if not be.supports_force:
-            be = get_backend("bigint")
         plan = compiled_plan(circuit, fuse=False)
         slot_force = {plan.slot_of(nid): bit for nid, bit in force.items()}
-        return be.run(plan, stimulus, num_vectors, ctx=ctx, force=slot_force)
+        return run_plan(plan, stimulus, num_vectors, ctx=ctx,
+                        force=slot_force)
 
     plan = compiled_plan(circuit, fuse=True)
-    return be.run(plan, stimulus, num_vectors, ctx=ctx)
+    return run_plan(plan, stimulus, num_vectors, ctx=ctx)
 
 
 def execute_ints(circuit: Circuit, vectors: Mapping[str, Sequence[int]],
-                 backend: Union[str, Backend, None] = None,
                  ctx: Optional[RunContext] = None,
                  force: Optional[Mapping[int, int]] = None
                  ) -> Dict[str, List[int]]:
@@ -103,8 +92,9 @@ def execute_ints(circuit: Circuit, vectors: Mapping[str, Sequence[int]],
 
     Args:
         circuit: Combinational circuit.
-        vectors: Input bus name -> one integer per test vector.
-        backend, ctx, force: As for :func:`execute`.
+        vectors: Input bus name -> one integer per test vector; every
+            bus must carry the same number of vectors.
+        ctx, force: As for :func:`execute`.
 
     Returns:
         Output bus name -> one integer per test vector.
@@ -112,13 +102,16 @@ def execute_ints(circuit: Circuit, vectors: Mapping[str, Sequence[int]],
     names = list(circuit.inputs)
     if not names:
         raise CircuitError("circuit has no inputs")
-    count = len(vectors[names[0]])
+    counts = {name: len(vectors[name]) for name in names}
+    count = counts[names[0]]
+    if len(set(counts.values())) > 1:
+        raise CircuitError(f"buses carry different vector counts: {counts}")
     if count == 0:
         raise CircuitError("need at least one vector")
     stim = {
         name: pack_vectors(vectors[name], len(circuit.inputs[name]))
         for name in names}
-    out_words = execute(circuit, stim, num_vectors=count, backend=backend,
-                        ctx=ctx, force=force)
+    out_words = execute(circuit, stim, num_vectors=count, ctx=ctx,
+                        force=force)
     return {name: unpack_vectors(words, count)
             for name, words in out_words.items()}

@@ -1,12 +1,12 @@
 """Instrumented run context: seeds, counters, phase timers, manifests.
 
-Every engine-powered entry point (simulation backends, experiments, the
-CLI) threads a :class:`RunContext` through the stack.  The context owns
+Every engine-powered entry point (the gate-level executor, experiments,
+the CLI) threads a :class:`RunContext` through the stack.  The context owns
 
 * **RNG provenance** — one root seed, one NumPy ``Generator``, and a
-  deterministic ``spawn_seed`` facility (for shards/workers) so every
+  deterministic ``spawn_seed`` facility (for workers) so every
   random draw in a run is reproducible from the manifest alone;
-* **counters** — gate evaluations, vectors simulated, shard counts …;
+* **counters** — gate evaluations, vectors simulated …;
 * **phase timers** — wall time per named phase (compile/bind/run/…);
 * **the manifest** — a JSON-serialisable snapshot of all of the above
   that experiments attach to their :class:`~repro.reporting.Table` and
@@ -45,8 +45,8 @@ def spawn_seeds(root_seed: int, count: int) -> List[int]:
     """*count* independent 64-bit child seeds derived from *root_seed*.
 
     Uses ``SeedSequence.spawn`` so child streams are statistically
-    independent and — crucially for the sharded backend — depend only on
-    ``(root_seed, index)``, never on scheduling order.
+    independent and depend only on ``(root_seed, index)``, never on
+    scheduling order.
     """
     children = np.random.SeedSequence(root_seed).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
@@ -57,14 +57,12 @@ class RunContext:
 
     Args:
         seed: Root RNG seed (``None`` means :data:`DEFAULT_SEED`).
-        backend: Engine backend name this run is configured for.
         label: Optional run label (the CLI stores the command name).
     """
 
-    def __init__(self, seed: Optional[int] = None, backend: str = "bigint",
+    def __init__(self, seed: Optional[int] = None,
                  label: Optional[str] = None):
         self.seed = DEFAULT_SEED if seed is None else int(seed)
-        self.backend = backend
         self.label = label
         self.counters: Dict[str, int] = {}
         self.phases: Dict[str, float] = {}
@@ -131,7 +129,6 @@ class RunContext:
         return {
             "label": self.label,
             "seed": self.seed,
-            "backend": self.backend,
             "gate_evals": self.gate_evals,
             "counters": dict(self.counters),
             "phase_seconds": {k: round(v, 6) for k, v in self.phases.items()},
@@ -150,8 +147,7 @@ class RunContext:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<RunContext seed={self.seed} backend={self.backend!r} "
-                f"gate_evals={self.gate_evals}>")
+        return f"<RunContext seed={self.seed} gate_evals={self.gate_evals}>"
 
 
 _default_context: Optional[RunContext] = None

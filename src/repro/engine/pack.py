@@ -1,13 +1,11 @@
 """Fast bit-slice packing/unpacking between vector and word domains.
 
-The engine moves data between three representations:
+The engine moves data between two representations:
 
 * **per-vector integers** — one Python int per test vector (what
   reference models and ATPG vectors use);
 * **packed big-int words** — one Python int per *bit column*, bit ``j``
-  of the word carrying vector ``j`` (the bigint backend's native form);
-* **uint64 word arrays** — the same bit-sliced layout chunked into
-  64-vector machine words (the NumPy backend's native form).
+  of the word carrying vector ``j`` (the engine's native form).
 
 The legacy code transposed these layouts with nested Python loops —
 O(vectors x width) interpreter iterations per call, the hidden hot spot
@@ -17,17 +15,14 @@ of the validate/ATPG/testbench paths.  Here every transpose runs through
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 __all__ = [
     "pack_vectors",
     "unpack_vectors",
-    "word_to_u64",
-    "u64_to_word",
     "random_word",
-    "random_word_array",
 ]
 
 
@@ -90,21 +85,6 @@ def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
     return [int.from_bytes(rows[j].tobytes(), "big") for j in range(count)]
 
 
-def word_to_u64(word: int, num_vectors: int) -> np.ndarray:
-    """Split a packed big-int word into little-endian uint64 chunks."""
-    nwords = (num_vectors + 63) // 64
-    mask = (1 << num_vectors) - 1
-    raw = (int(word) & mask).to_bytes(nwords * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def u64_to_word(array: np.ndarray, num_vectors: int) -> int:
-    """Reassemble uint64 chunks into one packed big-int word."""
-    value = int.from_bytes(np.ascontiguousarray(
-        array, dtype="<u8").tobytes(), "little")
-    return value & ((1 << num_vectors) - 1)
-
-
 def random_word(rng: np.random.Generator, num_vectors: int) -> int:
     """A uniform *num_vectors*-bit packed word in one bulk draw.
 
@@ -118,17 +98,3 @@ def random_word(rng: np.random.Generator, num_vectors: int) -> int:
     raw = rng.bytes(nbytes)
     return int.from_bytes(raw, "little") & ((1 << num_vectors) - 1)
 
-
-def random_word_array(rng: np.random.Generator,
-                      num_vectors: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A uniform packed word directly in uint64-chunk form."""
-    nwords = (num_vectors + 63) // 64
-    arr = rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
-    tail = num_vectors % 64
-    if tail:
-        arr[-1] &= np.uint64((1 << tail) - 1)
-    if out is not None:
-        out[:] = arr
-        return out
-    return arr

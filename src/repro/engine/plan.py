@@ -2,7 +2,7 @@
 
 :func:`compile_circuit` turns a levelized :class:`Circuit` into a
 :class:`CompiledPlan`, paying the per-gate analysis cost **once** so the
-backends can replay the circuit with no Python-level dispatch on gate
+executor can replay the circuit with no Python-level dispatch on gate
 specs:
 
 * every live net is assigned a dense *slot*;
@@ -17,22 +17,13 @@ specs:
 * **constant handling**: CONST0/CONST1 become preset slots, never
   evaluated;
 * dead logic (nets not reachable from any registered output) is skipped
-  outright;
-* steps are grouped per level and opcode into :class:`BatchGroup` index
-  arrays so the NumPy backend can evaluate whole levels with a handful
-  of fancy-indexed array ops.
-
-Plans contain only plain tuples, ints and NumPy index arrays, so they
-pickle cheaply — the sharded backend ships one plan to every worker
-process.
+  outright.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from ..circuit.gates import gate_spec
 from ..circuit.netlist import Circuit, CircuitError
@@ -40,7 +31,7 @@ from ..circuit.netlist import Circuit, CircuitError
 __all__ = [
     "OP_AND", "OP_OR", "OP_XOR", "OP_COPY", "OP_AO21", "OP_OA21",
     "OP_MUX2", "OP_MAJ3", "OPCODE_NAMES",
-    "Step", "BatchGroup", "CompiledPlan", "compile_circuit",
+    "Step", "CompiledPlan", "compile_circuit",
 ]
 
 # Opcode tape alphabet.  COPY with invert=True is a NOT.
@@ -71,22 +62,8 @@ Step = Tuple[int, int, Tuple[int, ...], bool]
 
 
 @dataclass
-class BatchGroup:
-    """All same-opcode steps of one level, as gather/scatter indices."""
-
-    level: int
-    opcode: int
-    invert: bool
-    outs: np.ndarray            # int64, shape (g,)
-    ins: List[np.ndarray]       # one int64 array of shape (g,) per operand
-
-    def __len__(self) -> int:
-        return len(self.outs)
-
-
-@dataclass
 class CompiledPlan:
-    """Executable form of one circuit, shared by every backend.
+    """Executable form of one circuit.
 
     Attributes:
         name: Source circuit name.
@@ -94,8 +71,7 @@ class CompiledPlan:
         input_slots: Input bus name -> slot per bit (LSB first).
         output_slots: Output bus name -> slot per bit (LSB first).
         const_slots: ``(slot, value)`` pairs preset before execution.
-        steps: Flat op tape in topological order (bigint backend).
-        batches: Level-major batch groups (NumPy backend).
+        steps: Flat op tape in topological order.
         nid_to_slot: Net id -> slot (-1 for dead nets).  With ``fuse``
             enabled several nets may share a slot; fault forcing
             therefore requires an unfused plan.
@@ -110,7 +86,6 @@ class CompiledPlan:
     output_slots: Dict[str, List[int]]
     const_slots: List[Tuple[int, int]]
     steps: List[Step]
-    batches: List[BatchGroup]
     nid_to_slot: List[int]
     fused: bool
     num_gates: int = 0
@@ -246,7 +221,6 @@ def compile_circuit(circuit: Circuit, fuse: bool = True) -> CompiledPlan:
         output_slots=output_slots,
         const_slots=const_slots,
         steps=steps,
-        batches=_build_batches(steps, num_slots),
         nid_to_slot=nid_to_slot,
         fused=fuse,
         num_gates=len(steps),
@@ -265,25 +239,3 @@ def _check_no_inverted_outputs(plan: CompiledPlan, circuit: Circuit) -> None:
             if nid in plan.inverted_nids:  # pragma: no cover - invariant
                 raise CircuitError(
                     f"internal: fused complement visible on output net {nid}")
-
-
-def _build_batches(steps: Sequence[Step], num_slots: int) -> List[BatchGroup]:
-    """Group the tape into per-(level, opcode, invert) index arrays."""
-    level = [0] * num_slots
-    keyed: Dict[Tuple[int, int, bool], List[Step]] = {}
-    for opcode, out, ins, inv in steps:
-        lv = 1 + max((level[i] for i in ins), default=0)
-        level[out] = lv
-        keyed.setdefault((lv, opcode, inv), []).append(
-            (opcode, out, ins, inv))
-    groups: List[BatchGroup] = []
-    for (lv, opcode, inv) in sorted(keyed):
-        members = keyed[(lv, opcode, inv)]
-        arity = len(members[0][2])
-        outs = np.fromiter((m[1] for m in members), dtype=np.int64,
-                           count=len(members))
-        ins = [np.fromiter((m[2][k] for m in members), dtype=np.int64,
-                           count=len(members))
-               for k in range(arity)]
-        groups.append(BatchGroup(lv, opcode, inv, outs, ins))
-    return groups

@@ -1,7 +1,7 @@
 """Batched VLSA evaluation backing the service's micro-batcher.
 
-One coalesced batch of operand pairs is evaluated in a single call,
-mirroring the engine's backend split:
+One coalesced batch of operand pairs is evaluated in a single call by
+one of two backends:
 
 * ``numpy`` — vectorised ``uint64`` kernel for widths up to 64 bits
   (the throughput path: exact sums, detector flags and speculative-error
@@ -35,7 +35,7 @@ from ..families.base import get_family
 __all__ = ["BatchOutcome", "BatchArrays", "VlsaBatchExecutor",
            "EXECUTOR_BACKENDS"]
 
-#: Executor backend names (mirrors the engine backend vocabulary).
+#: Executor backend names.
 EXECUTOR_BACKENDS = ("numpy", "bigint")
 
 

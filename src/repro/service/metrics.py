@@ -34,9 +34,11 @@ process would have recorded from all the samples, in any merge order.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -198,16 +200,22 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Nearest-rank *q*-quantile, as the lower bound of its bucket."""
-        if not (0.0 <= q <= 1.0):
+        return self._quantiles((q,))[0]
+
+    def _quantiles(self, qs: Sequence[float]) -> List[float]:
+        """:meth:`quantile` of each of *qs*, from one sort of the buckets."""
+        if not all(0.0 <= q <= 1.0 for q in qs):
             raise ValueError("quantile must be in [0, 1]")
         if not self.count:
-            return 0.0
-        rank = min(self.count - 1, int(q * self.count))
-        for key in sorted(self._counts):
-            rank -= self._counts[key]
-            if rank < 0:
-                break
-        return key
+            return [0.0] * len(qs)
+        keys = sorted(self._counts)
+        # cumulative[i] = samples in buckets keys[0..i]; the nearest-rank
+        # sample of rank r lies in the first bucket with cumulative > r.
+        cumulative = list(itertools.accumulate(
+            map(self._counts.__getitem__, keys)))
+        return [keys[bisect.bisect_right(
+                    cumulative, min(self.count - 1, int(q * self.count)))]
+                for q in qs]
 
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -218,16 +226,15 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
-        for q in self.QUANTILES:
-            out[f"p{int(q * 100)}"] = self.quantile(q)
+        for q, value in zip(self.QUANTILES, self._quantiles(self.QUANTILES)):
+            out[f"p{int(q * 100)}"] = value
         return out
 
     def sample_lines(self) -> List[str]:
         lines = [f"{self.name}_count {_fmt(self.count)}",
                  f"{self.name}_sum {_fmt(self.sum)}"]
-        for q in self.QUANTILES:
-            lines.append(
-                f'{self.name}{{quantile="{q}"}} {_fmt(self.quantile(q))}')
+        for q, value in zip(self.QUANTILES, self._quantiles(self.QUANTILES)):
+            lines.append(f'{self.name}{{quantile="{q}"}} {_fmt(value)}')
         return lines
 
     def state(self) -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """Differential + formal verification subsystem.
 
 "Bit-identical" is an invariant, not a comment: this package drives
-every registered ACA/VLSA implementation — compiled-engine backends,
+every registered ACA/VLSA implementation — the compiled engine,
 the legacy interpreter, the functional models, the cycle-accurate
 machine, and the service executors — from one seeded vector stream,
 cross-checks them elementwise, and tests their empirical error/detector

@@ -8,7 +8,7 @@ analytic recurrences).  Implementations register as adapters with a
 uniform batch interface and fall into two groups:
 
 * ``speculative`` — produce the raw speculative ``(sum, cout)`` the
-  hardware emits (gate-level circuits under every engine backend, the
+  hardware emits (the gate-level circuit on the compiled engine, the
   legacy interpreter, the functional model itself, the family's
   vectorised numpy kernel);
 * ``exact`` — produce the corrected sum plus the detector/stall flag and
@@ -150,15 +150,14 @@ class FunctionalImpl(Implementation):
 
 
 class EngineImpl(Implementation):
-    """Gate-level speculative core under one compiled-engine backend."""
+    """Gate-level speculative core on the compiled engine."""
 
     family = "speculative"
 
-    def __init__(self, width: int, window: int, backend: str,
-                 recovery_cycles: int = 1, family: str = "aca"):
+    def __init__(self, width: int, window: int, recovery_cycles: int = 1,
+                 family: str = "aca"):
         fam, params, _ = _resolved(family, width, window)
-        self.name = f"engine:{backend}"
-        self.backend = backend
+        self.name = "engine:bigint"
         self.width = width
         self.circuit = fam.build_speculative(width, **params)
 
@@ -167,8 +166,7 @@ class EngineImpl(Implementation):
 
         out = execute_ints(self.circuit,
                            {"a": [a for a, _ in pairs],
-                            "b": [b for _, b in pairs]},
-                           backend=self.backend)
+                            "b": [b for _, b in pairs]})
         return ImplResult(sums=out["sum"], couts=out["cout"])
 
 
@@ -399,14 +397,8 @@ def unregister_implementation(name: str) -> None:
 def _ensure_builtin() -> None:
     if "functional" in _FACTORIES:
         return
-    from ..engine import available_backends
-
     register_implementation("functional", FunctionalImpl)
-    for backend in available_backends():
-        register_implementation(
-            f"engine:{backend}",
-            lambda w, win, rc, family="aca", _b=backend:
-                EngineImpl(w, win, _b, rc, family=family))
+    register_implementation("engine:bigint", EngineImpl)
     register_implementation("interpreter", InterpreterImpl)
     register_implementation("kernel", KernelImpl)
     register_implementation("recovery", RecoveryImpl)

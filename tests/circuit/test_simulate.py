@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.circuit import (
     Circuit,
@@ -11,8 +14,10 @@ from repro.circuit import (
     random_stimulus,
     simulate,
     simulate_bus_ints,
+    simulate_interpreted,
     simulate_words,
 )
+from repro.core import build_aca
 
 
 def _full_adder():
@@ -67,6 +72,49 @@ def test_numpy_vector_mode():
     expected_co = (a & b) | (a & ci) | (b & ci)
     assert np.array_equal(out["s"][0], expected_s)
     assert np.array_equal(out["co"][0], expected_co)
+
+
+def _gate_mix():
+    """Every gate op the compiler lowers, constants and NOT fusion included."""
+    c = Circuit("mix")
+    a, b, d = c.add_input("a"), c.add_input("b"), c.add_input("d")
+    x = c.add_gate("NAND", a, b)
+    c.set_output("y", c.add_gate("NOT", c.add_gate("AO21", x, d, a)))
+    c.set_output("z", c.add_gate("MUX2", a, c.add_gate("XNOR", b, d),
+                                 c.add_gate("OR", a, b, d, c.const(1))))
+    c.set_output("w", c.add_gate("OA21", c.add_gate("NOR", a, d),
+                                 c.add_gate("MAJ3", a, b, d), c.const(0)))
+    return c
+
+
+_ARRAY_CIRCUITS = (_full_adder(), _gate_mix(), build_aca(8, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ARRAY_CIRCUITS),
+       st.sampled_from((np.uint8, np.uint16, np.uint32, np.uint64)),
+       hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+       st.data())
+def test_array_mode_matches_interpreter(circuit, dtype, shape, data):
+    # Byte counts here are mostly not multiples of 8 (e.g. uint8 (3,)).
+    words = hnp.arrays(dtype, shape)
+    stim = {name: [data.draw(words) for _ in bus]
+            for name, bus in circuit.inputs.items()}
+    got = simulate(circuit, stim)
+    want = simulate_interpreted(circuit, stim)
+    assert got.keys() == want.keys()
+    for name in want:
+        for g, w in zip(got[name], want[name]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("odd", [np.zeros(4, np.uint32),
+                                 np.zeros(3, np.uint64)])
+def test_array_mode_rejects_mixed_dtypes_and_shapes(odd):
+    ok = np.zeros(4, np.uint64)
+    with pytest.raises(CircuitError, match="mixed"):
+        simulate(_full_adder(), {"a": [ok], "b": [ok], "cin": [odd]})
 
 
 def test_constants_in_simulation():

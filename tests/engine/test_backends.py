@@ -1,18 +1,11 @@
-"""Backend equivalence, sharded merge, forcing, and registry errors."""
+"""Engine versus interpreter, forcing, accounting and vector counts."""
 
 import numpy as np
 import pytest
 
 from repro.circuit import CircuitError, simulate_interpreted
 from repro.core import build_aca
-from repro.engine import (
-    RunContext,
-    available_backends,
-    compiled_plan,
-    execute,
-    get_backend,
-    merge_shard_words,
-)
+from repro.engine import RunContext, execute, execute_ints
 from repro.engine.pack import random_word
 
 
@@ -28,39 +21,10 @@ def aca():
 
 
 def test_all_backends_bit_identical(aca):
-    n = 777  # odd count exercises the tail mask and shard remainder
+    n = 777  # odd count exercises the tail mask
     stim = _stimulus(aca, n)
     reference = simulate_interpreted(aca, stim, num_vectors=n)
-    for name in available_backends():
-        out = execute(aca, stim, num_vectors=n, backend=name)
-        assert out == reference, f"backend {name} diverged"
-
-
-def test_sharded_split_covers_range(aca):
-    backend = get_backend("sharded")
-    shards = backend.split({}, 1 << 16 | 123)
-    assert shards[0][0] == 0
-    assert sum(cnt for _off, cnt in shards) == (1 << 16 | 123)
-    offs = [off for off, _cnt in shards]
-    assert offs == sorted(offs)
-
-
-def test_merge_shard_words_order_independent(aca):
-    n = 300
-    stim = _stimulus(aca, n)
-    full = execute(aca, stim, num_vectors=n, backend="bigint")
-    # Build three shards by slicing the stimulus and running each alone.
-    cuts = [(0, 100), (100, 120), (220, 80)]
-    shards = []
-    for off, cnt in cuts:
-        mask = (1 << cnt) - 1
-        sub = {k: [(w >> off) & mask for w in words]
-               for k, words in stim.items()}
-        shards.append((off, execute(aca, sub, num_vectors=cnt,
-                                    backend="bigint")))
-    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]):
-        merged = merge_shard_words([shards[i] for i in order])
-        assert merged == full
+    assert execute(aca, stim, num_vectors=n) == reference
 
 
 def test_force_semantics_analytic():
@@ -86,32 +50,17 @@ def test_force_semantics_analytic():
     assert baseline["y"] == [(wa & wb) ^ wa]
 
 
-def test_numpy_and_sharded_reject_force(aca):
-    stim = _stimulus(aca, 8)
-    for name in ("numpy", "sharded"):
-        with pytest.raises(CircuitError):
-            get_backend(name).run(compiled_plan(aca, fuse=False), stim, 8,
-                                  force={0: 1})
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(CircuitError):
-        get_backend("quantum")
-
-
 def test_context_accounting(aca):
-    ctx = RunContext(seed=3, backend="numpy")
+    ctx = RunContext(seed=3)
     n = 256
-    execute(aca, _stimulus(aca, n), num_vectors=n, backend="numpy", ctx=ctx)
+    execute(aca, _stimulus(aca, n), num_vectors=n, ctx=ctx)
     snap = ctx.snapshot()
     assert snap["counters"]["vectors"] == n
     assert snap["counters"]["gate_evals"] > 0
-    assert snap["counters"]["runs_numpy"] == 1
+    assert snap["counters"]["runs_bigint"] == 1
 
 
-def test_numpy_run_u64_shape_validation(aca):
-    backend = get_backend("numpy")
-    plan = compiled_plan(aca)
-    rows = {name: np.zeros((2, 1), dtype=np.uint64) for name in aca.inputs}
-    with pytest.raises(CircuitError):
-        backend.run_u64(plan, rows, nwords=3)
+@pytest.mark.parametrize("a, b", [([1, 2, 3], [1]), ([1], [1, 2, 3])])
+def test_execute_ints_rejects_unequal_vector_counts(a, b):
+    with pytest.raises(CircuitError, match="vector counts"):
+        execute_ints(build_aca(8, 4), {"a": a, "b": b})

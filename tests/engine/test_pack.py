@@ -33,26 +33,9 @@ def test_pack_matches_naive_definition():
         assert words[bit] == expect
 
 
-@pytest.mark.parametrize("num_vectors", [1, 63, 64, 65, 200])
-def test_word_u64_roundtrip(num_vectors):
-    rng = np.random.default_rng(num_vectors)
-    word = int.from_bytes(rng.bytes((num_vectors + 7) // 8), "little") & (
-        (1 << num_vectors) - 1)
-    arr = pack.word_to_u64(word, num_vectors)
-    assert arr.dtype == np.uint64
-    assert len(arr) == (num_vectors + 63) // 64
-    assert pack.u64_to_word(arr, num_vectors) == word
-
-
 def test_random_word_bounds_and_determinism():
     a = pack.random_word(np.random.default_rng(5), 67)
     b = pack.random_word(np.random.default_rng(5), 67)
     assert a == b
     assert 0 <= a < (1 << 67)
 
-
-def test_random_word_array_tail_masked():
-    rng = np.random.default_rng(9)
-    arr = pack.random_word_array(rng, 70)  # 2 words, 6 live tail bits
-    assert len(arr) == 2
-    assert int(arr[1]) < (1 << 6)

@@ -19,7 +19,7 @@ def _results_tmpdir(tmp_path, monkeypatch):
 def test_verify_family_flag(capsys, family):
     assert main(["verify", "--width", "8", "--family", family,
                  "--window", "2", "--vectors", "300",
-                 "--impls", "functional,kernel,engine:numpy",
+                 "--impls", "functional,kernel,engine:bigint",
                  "--no-save"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out

@@ -34,8 +34,7 @@ def _check_family_exhaustive(name, width):
     circuit = fam.build_circuit(width, **params)
     kernel = fam.numpy_kernel(width, **params)
     a_vals, b_vals = _all_pairs(width)
-    out = execute_ints(circuit, {"a": a_vals, "b": b_vals},
-                       backend="numpy")
+    out = execute_ints(circuit, {"a": a_vals, "b": b_vals})
     batch = None
     if kernel is not None:
         batch = kernel(np.asarray(a_vals, dtype=np.uint64),

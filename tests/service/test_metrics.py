@@ -82,6 +82,9 @@ def test_histogram_quantile_is_bucket_of_raw_nearest_rank(values, q):
     got = h.quantile(q)
     assert got == _bucket(raw)
     assert got <= raw <= got * (1 + 2.0 ** (1 - BUCKET_BITS))
+    exported = h.to_json()
+    assert [exported[f"p{int(p * 100)}"] for p in h.QUANTILES] == [
+        h.quantile(p) for p in h.QUANTILES]
 
 
 @given(st.lists(st.integers(min_value=0,
